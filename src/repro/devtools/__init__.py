@@ -2,16 +2,18 @@
 
 Two companion halves guard the numeric kernels of the reproduction:
 
-* :mod:`repro.devtools.lint` — an AST-based static-analysis pass with
-  rules tailored to this codebase (exception hygiene, seeded
-  randomness, import layering, float-comparison safety, API
-  documentation).  Run it as ``python -m repro.devtools.lint src/repro``.
+* four static analyzers — :mod:`repro.devtools.lint` (per-module rules:
+  exception hygiene, seeded randomness, import layering, float
+  comparisons, API documentation) and the project-wide ``flow``,
+  ``conc`` and ``hot`` analyzers — behind one front end,
+  ``python -m repro.devtools.analyze src/repro``
+  (:mod:`repro.devtools.analyze`);
 * :mod:`repro.devtools.contracts` — runtime numeric-contract
   decorators (probability vectors, row-stochastic matrices, bounded
   scores) that are active under pytest or ``REPRO_CONTRACTS=1`` and
   compile to no-ops otherwise.
 
-See ``docs/devtools.md`` for the rule catalogue and workflows.
+See ``docs/devtools.md`` for the rule catalogues and workflows.
 """
 
 from repro.devtools.findings import Finding

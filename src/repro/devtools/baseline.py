@@ -1,10 +1,12 @@
-"""Baseline (grandfathered-findings) support for the linter.
+"""Baseline (grandfathered-findings) support for the analyzers.
 
-A baseline is a committed JSON file listing fingerprints of known
-violations.  ``lint`` subtracts baselined findings from its report, so
-a rule can be introduced without first fixing (or while deliberately
-keeping) every historical hit; any *new* violation still fails the
-build.  Regenerate with ``python -m repro.devtools.lint --write-baseline``.
+A baseline is one committed JSON file with a section per analyzer
+(``lint``, ``flow``, ``conc``, ``hot``), each listing fingerprints of
+known violations.  ``repro-analyze`` subtracts a tool's baselined
+findings from its report, so a rule can be introduced without first
+fixing (or while deliberately keeping) every historical hit; any *new*
+violation still fails the build.  Regenerate a section with
+``python -m repro.devtools.analyze --write-baseline --tool lint``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,40 @@ from repro.exceptions import ValidationError
 
 __all__ = ["Baseline", "DEFAULT_BASELINE_NAME"]
 
-DEFAULT_BASELINE_NAME = ".repro-lint-baseline.json"
+DEFAULT_BASELINE_NAME = ".repro-baseline.json"
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+
+def _read_sections(path: Path) -> dict[str, list[dict[str, object]]]:
+    """Every tool's entries in a baseline file; a missing file is empty."""
+    if not path.exists():
+        return {}
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"baseline {path} is not valid JSON: {exc}") from exc
+    if (
+        not isinstance(payload, dict)
+        or payload.get("version") != _FORMAT_VERSION
+        or not isinstance(payload.get("tools"), dict)
+        or not all(isinstance(s, list) for s in payload["tools"].values())
+    ):
+        raise ValidationError(
+            f"baseline {path} has an unsupported format; regenerate it "
+            "with --write-baseline"
+        )
+    for section in payload["tools"].values():
+        for entry in section:
+            if not isinstance(entry, dict) or "fingerprint" not in entry:
+                raise ValidationError(
+                    f"baseline {path} contains an entry without a fingerprint"
+                )
+    return payload["tools"]
 
 
 class Baseline:
-    """An allowlist of grandfathered finding fingerprints."""
+    """An allowlist of grandfathered finding fingerprints for one tool."""
 
     def __init__(self, entries: Iterable[dict[str, object]] = ()) -> None:
         self._entries: list[dict[str, object]] = [dict(e) for e in entries]
@@ -82,39 +111,17 @@ class Baseline:
         return cls(entries)
 
     @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
-        if not path.exists():
-            return cls()
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"baseline {path} is not valid JSON: {exc}") from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != _FORMAT_VERSION
-            or not isinstance(payload.get("findings"), list)
-        ):
-            raise ValidationError(
-                f"baseline {path} has an unsupported format; regenerate it "
-                "with --write-baseline"
-            )
-        entries = []
-        for entry in payload["findings"]:
-            if not isinstance(entry, dict) or "fingerprint" not in entry:
-                raise ValidationError(
-                    f"baseline {path} contains an entry without a fingerprint"
-                )
-            entries.append(entry)
-        return cls(entries)
+    def load(cls, path: Path, tool: str) -> "Baseline":
+        """Read ``tool``'s section of a baseline file; a missing file or
+        section is an empty baseline."""
+        return cls(_read_sections(path).get(tool, ()))
 
-    def save(self, path: Path, tool: str = "repro-lint") -> None:
-        """Write the baseline as deterministic, diff-friendly JSON."""
-        payload = {
-            "version": _FORMAT_VERSION,
-            "tool": tool,
-            "findings": self._entries,
-        }
+    def save(self, path: Path, tool: str) -> None:
+        """Write this baseline as ``tool``'s section of the file, keeping
+        every other tool's section as it is (deterministic JSON)."""
+        sections = _read_sections(path)
+        sections[tool] = self._entries
+        payload = {"version": _FORMAT_VERSION, "tools": sections}
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=False) + "\n",
             encoding="utf-8",

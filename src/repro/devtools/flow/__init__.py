@@ -1,20 +1,6 @@
 """repro-flow: interprocedural taint + determinism dataflow analysis.
 
-Run as ``python -m repro.devtools.flow``.  See
+Run as ``python -m repro.devtools.analyze --tool flow``.  See
 :mod:`repro.devtools.flow.registry` for the rule catalogue and
-:mod:`repro.devtools.flow.cli` for the command-line interface.
+:mod:`repro.devtools.flow.analysis` for the shared project pass.
 """
-
-from __future__ import annotations
-
-from typing import Sequence
-
-__all__ = ["main"]
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Lazy alias for :func:`repro.devtools.flow.cli.main` (keeps the
-    package importable without pulling in the full analyzer)."""
-    from repro.devtools.flow.cli import main as _main
-
-    return _main(argv)

@@ -1,12 +1,11 @@
 """Shared project-analysis pipeline for the dataflow-based analyzers.
 
-``repro-flow`` and ``repro-conc`` both need the same expensive
-front-end: parse the package trees into a :class:`~repro.devtools.flow.
-project.Project`, run the summary fixpoint (:func:`~repro.devtools.
-flow.interp.run_analysis`), and build the call graph.  This module
-exposes that pipeline once so the concurrency analyzer reuses flow's
-summaries instead of re-deriving them, and so a combined driver
-(``repro-analyze``) can share one pass per package tree.
+``repro-flow``, ``repro-conc`` and ``repro-hot`` all need the same
+expensive front-end: parse the package trees into a
+:class:`~repro.devtools.flow.project.Project`, run the summary fixpoint
+(:func:`~repro.devtools.flow.interp.run_analysis`), and build the call
+graph.  This module exposes that pipeline once so the three analyzers
+share one pass per package tree under ``repro-analyze``.
 """
 
 from __future__ import annotations
@@ -14,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.devtools.findings import Finding, assign_occurrences
 from repro.devtools.flow.callgraph import CallGraph, build_call_graph
+from repro.devtools.flow.determinism import determinism_findings
 from repro.devtools.flow.interp import AnalysisResult, run_analysis
 from repro.devtools.flow.project import Project, load_project
 
-__all__ = ["ProjectAnalysis", "analyze_project"]
+__all__ = ["ProjectAnalysis", "analyze_project", "flow_findings"]
 
 
 @dataclass(slots=True)
@@ -41,3 +42,19 @@ def analyze_project(paths: Sequence[str]) -> ProjectAnalysis:
     result = run_analysis(project)
     graph = build_call_graph(project, result)
     return ProjectAnalysis(project=project, result=result, graph=graph)
+
+
+def flow_findings(
+    analysis: ProjectAnalysis, entrypoints: Sequence[str] = ()
+) -> list[Finding]:
+    """All taint (T001-T005) and determinism (D001-D003) findings,
+    occurrence-stamped and in report order.  ``entrypoints`` adds
+    determinism entrypoints by fully qualified name."""
+    findings = list(analysis.result.taint_findings)
+    findings.extend(
+        determinism_findings(
+            analysis.project, analysis.result, analysis.graph, entrypoints
+        )
+    )
+    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
+    return assign_occurrences(findings)

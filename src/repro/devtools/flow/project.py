@@ -21,8 +21,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from repro.devtools.lint import discover_files
 from repro.devtools.rules import parse_suppressions
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "Project",
     "load_project",
 ]
-
-_SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
 #: Suppression-comment markers parsed for every module.  ``repro-flow``
 #: feeds :attr:`ModuleUnit.line_suppressions`; the rest are reachable
@@ -170,13 +169,6 @@ class Project:
             if unit is not None:
                 entries[qualname] = unit
         return [entries[k] for k in sorted(entries)]
-
-
-def _iter_package_files(root: Path) -> Iterator[Path]:
-    for candidate in sorted(root.rglob("*.py")):
-        if any(part in _SKIP_DIRS for part in candidate.parts):
-            continue
-        yield candidate
 
 
 def _module_name(root: Path, file_path: Path) -> str:
@@ -335,7 +327,7 @@ def load_project(paths: Sequence[str]) -> Project:
     project = Project()
     for raw in paths:
         root = Path(raw)
-        for file_path in _iter_package_files(root):
+        for file_path in discover_files([raw]):
             posix = str(file_path).replace("\\", "/")
             try:
                 source = file_path.read_text(encoding="utf-8")

@@ -16,7 +16,7 @@ test fixture packages:
   :func:`repro.devtools.sanitizers.sanitizes` decorator, read
   statically from the AST by the project loader.
 
-Rule catalogue (``python -m repro.devtools.flow --list-rules``):
+Rule catalogue (``python -m repro.devtools.analyze --tool flow --list-rules``):
 
 ======  ===============================================================
 T001    untrusted data reaches a filesystem path / ``open()`` sink

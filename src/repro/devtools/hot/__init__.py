@@ -8,10 +8,11 @@ finding by a static cost model: syntactic loop-nesting depth at the
 site multiplied by reachability from the registered hot entry points
 (the sweep driver, the serving verifier, the crawl loop, and the
 kernels the perf benchmark harness drives).
+
+Run as ``python -m repro.devtools.analyze --tool hot``.
 """
 
 from repro.devtools.hot.analyzer import hot_findings
-from repro.devtools.hot.cli import main
 from repro.devtools.hot.registry import HOT_RULES
 
-__all__ = ["hot_findings", "main", "HOT_RULES"]
+__all__ = ["hot_findings", "HOT_RULES"]

@@ -445,8 +445,7 @@ def _sorted_self_attr_calls(
 
 def hot_findings(
     analysis: ProjectAnalysis, extra_entries: Iterable[str] = ()
-) -> tuple[list[Finding], list[tuple[str, int, str]]]:
+) -> list[Finding]:
     """All P001-P008 findings for an analyzed project, ranked by
-    descending static cost, plus the project's load errors."""
-    findings = _HotAnalyzer(analysis, extra_entries).run()
-    return findings, analysis.project.errors
+    descending static cost."""
+    return _HotAnalyzer(analysis, extra_entries).run()

@@ -155,6 +155,9 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Socket inactivity timeout — a wedged client cannot pin a thread.
     timeout = 30.0
+    #: Headers and body go out as two writes; with Nagle on, the body of
+    #: a kept-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 
-from repro.devtools.emit import SARIF_VERSION, render_github, render_sarif
+from repro.devtools.emit import (
+    SARIF_VERSION,
+    render_github,
+    render_sarif_document,
+    sarif_run,
+)
 from repro.devtools.findings import Finding
 
 FINDING = Finding(
@@ -20,7 +25,9 @@ FINDING = Finding(
 
 class TestSarif:
     def test_document_shape(self):
-        doc = json.loads(render_sarif("repro-flow", [FINDING], {"T001": "path sink"}))
+        doc = json.loads(
+            render_sarif_document([sarif_run("repro-flow", [FINDING], {"T001": "path sink"})])
+        )
         assert doc["version"] == SARIF_VERSION
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-flow"
@@ -32,17 +39,23 @@ class TestSarif:
         assert location["region"]["startColumn"] == 5  # 1-based
 
     def test_fingerprint_round_trips(self):
-        doc = json.loads(render_sarif("repro-lint", [FINDING], {}))
+        doc = json.loads(
+            render_sarif_document([sarif_run("repro-lint", [FINDING], {})])
+        )
         fp = doc["runs"][0]["results"][0]["partialFingerprints"]["reproFingerprint/v1"]
         assert fp == FINDING.fingerprint()
 
     def test_rules_cover_catalog_and_findings(self):
-        doc = json.loads(render_sarif("repro-flow", [FINDING], {"D001": "rng"}))
+        doc = json.loads(
+            render_sarif_document([sarif_run("repro-flow", [FINDING], {"D001": "rng"})])
+        )
         ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
         assert "D001" in ids and "T001" in ids
 
     def test_empty_findings_still_valid(self):
-        doc = json.loads(render_sarif("repro-flow", [], {"T001": "path sink"}))
+        doc = json.loads(
+            render_sarif_document([sarif_run("repro-flow", [], {"T001": "path sink"})])
+        )
         assert doc["runs"][0]["results"] == []
 
 

@@ -10,7 +10,6 @@ from repro.devtools.flow.analysis import analyze_project
 from repro.devtools.hot.analyzer import hot_findings
 
 HOTPKG = Path(__file__).parent.parent / "fixtures" / "hotpkg"
-REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +19,5 @@ def hot_analysis():
 
 @pytest.fixture(scope="session")
 def hotpkg_findings(hot_analysis):
-    findings, load_errors = hot_findings(hot_analysis)
-    assert load_errors == []
-    return findings
+    assert hot_analysis.load_errors == []
+    return hot_findings(hot_analysis)

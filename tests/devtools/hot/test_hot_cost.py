@@ -102,7 +102,7 @@ class TestRanking:
 
 class TestDeterminism:
     def test_two_independent_passes_agree(self):
-        first, errors_a = hot_findings(analyze_project([str(HOTPKG)]))
-        second, errors_b = hot_findings(analyze_project([str(HOTPKG)]))
-        assert errors_a == errors_b == []
-        assert first == second
+        analysis_a = analyze_project([str(HOTPKG)])
+        analysis_b = analyze_project([str(HOTPKG)])
+        assert analysis_a.load_errors == analysis_b.load_errors == []
+        assert hot_findings(analysis_a) == hot_findings(analysis_b)
