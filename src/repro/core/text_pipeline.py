@@ -126,19 +126,43 @@ class TfidfTextPipeline:
             raise NotFittedError("TfidfTextPipeline has not been fitted")
         return self._vectorizer.transform([doc.tokens for doc in documents])
 
-    def predict(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
+    def score(
+        self, documents: Sequence[SummaryDocument]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probabilities, labels and text ranks from one transform.
+
+        The one scoring path: ``predict_proba``, ``predict`` and
+        ``text_rank`` are views of its three results, so a caller that
+        needs all three vectorizes the batch once, not three times.
+
+        Returns:
+            ``(proba, labels, text_rank)``: the ``(n, 2)`` class
+            probabilities (Platt-calibrated when ``calibrate`` is on),
+            the predicted labels (calibrated probability >= 0.5 when
+            calibrated, else the classifier's own ``predict``), and the
+            textRank term — the legitimate-class probability, or the
+            hard 0/1 label when the rank is not probabilistic.
+        """
+        X = self._transform(documents)
+        classifier = self.classifier
         if self._scaler is not None:
-            proba = self.predict_proba(documents)
-            classes = self.classifier._fitted_classes()
-            return classes[(proba[:, 1] >= 0.5).astype(np.int64)]
-        return self.classifier.predict(self._transform(documents))
+            pos = self._scaler.transform(classifier.decision_scores(X))
+            proba = np.column_stack([1.0 - pos, pos])
+            labels = classifier._fitted_classes()[(pos >= 0.5).astype(np.int64)]
+        else:
+            proba = classifier.predict_proba(X)
+            labels = classifier.predict(X)
+        if self._probabilistic_rank:
+            text_rank = proba[:, -1]
+        else:
+            text_rank = labels.astype(np.float64)
+        return proba, labels, text_rank
+
+    def predict(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
+        return self.score(documents)[1]
 
     def predict_proba(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        X = self._transform(documents)
-        if self._scaler is not None:
-            pos = self._scaler.transform(self.classifier.decision_scores(X))
-            return np.column_stack([1.0 - pos, pos])
-        return self.classifier.predict_proba(X)
+        return self.score(documents)[0]
 
     def decision_scores(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
         """Continuous positive-class score for ROC analysis."""
@@ -150,9 +174,7 @@ class TfidfTextPipeline:
         Probability of the legitimate class for probabilistic
         classifiers, hard 0/1 for non-probabilistic ones.
         """
-        if self._probabilistic_rank:
-            return self.predict_proba(documents)[:, -1]
-        return self.predict(documents).astype(np.float64)
+        return self.score(documents)[2]
 
 
 class NGramGraphTextPipeline:

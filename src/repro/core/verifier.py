@@ -230,6 +230,10 @@ class PharmacyVerifier:
                 which a deadline in the future never expires —
                 production servers inject a real clock).
             deadline_chunk: sites scored between deadline checks.
+
+        ``sites`` is read once, in order, before any scoring: a lazy
+        :meth:`~repro.data.sharding.ShardedCorpus.sites_view` costs one
+        shard-major sweep (each shard parsed once), not one per step.
         """
         if self._trust_scores is None:
             raise NotFittedError("PharmacyVerifier has not been fitted")
@@ -241,6 +245,7 @@ class PharmacyVerifier:
             raise ValidationError(
                 f"deadline_chunk must be >= 1, got {deadline_chunk}"
             )
+        sites = list(sites)
         if deadline is None:
             return self._verify_batch(sites, crawl_stats)
         timer: Clock = clock if clock is not None else VirtualClock()
@@ -265,7 +270,13 @@ class PharmacyVerifier:
         sites: Sequence[Website],
         crawl_stats: Sequence[CrawlStats | None] | None,
     ) -> list[VerificationReport]:
-        """Score one batch with no deadline bookkeeping."""
+        """Score one batch with no deadline bookkeeping.
+
+        Each per-site step runs once: links are parsed once (shared by
+        the ``no_network_signal`` check and the network rank), and the
+        scorable sites go through one text-pipeline pass.
+        """
+        endpoints = [site.outbound_endpoints() for site in sites]
         reasons: list[list[str]] = []
         scorable: list[int] = []
         for i, site in enumerate(sites):
@@ -277,7 +288,7 @@ class PharmacyVerifier:
                 site_reasons.append("no_text")
             else:
                 scorable.append(i)
-            if not site.outbound_endpoints() and (
+            if not endpoints[i] and (
                 self._trust_scores.get(site.domain, 0.0) <= 0.0
             ):
                 site_reasons.append("no_network_signal")
@@ -294,7 +305,7 @@ class PharmacyVerifier:
             scorable = []
         by_index = {idx: pos for pos, idx in enumerate(scorable)}
 
-        network_ranks = self._network_ranks(sites)
+        network_ranks = self._network_ranks(sites, endpoints)
         reports = []
         for i, site in enumerate(sites):
             network_rank = float(network_ranks[i])
@@ -341,7 +352,9 @@ class PharmacyVerifier:
         ``deadline_exceeded`` reason on top of any ``partial_crawl``
         flag their stats earned.
         """
-        network_ranks = self._network_ranks(sites)
+        network_ranks = self._network_ranks(
+            sites, [site.outbound_endpoints() for site in sites]
+        )
         reports = []
         for i, site in enumerate(sites):
             site_reasons = ["deadline_exceeded"]
@@ -375,12 +388,10 @@ class PharmacyVerifier:
             return np.empty(0), np.empty(0, dtype=int), np.empty(0)
         try:
             documents = [self._summarizer.summarize_site(s) for s in sites]
-            probas = self._pipeline.predict_proba(documents)[:, -1]
+            proba, labels, text_ranks = self._pipeline.score(documents)
+            probas = proba[:, -1]
             if self._decision_threshold is not None:
                 labels = (probas >= self._decision_threshold).astype(int)
-            else:
-                labels = self._pipeline.predict(documents)
-            text_ranks = self._pipeline.text_rank(documents)
             return probas, labels, text_ranks
         except ReproError:
             logger.warning(
@@ -432,27 +443,22 @@ class PharmacyVerifier:
 
     # -- internals --------------------------------------------------------------
 
-    def _network_rank(self, site: Website) -> float:
-        """TrustRank-derived network score of a (possibly unseen) site.
+    def _network_ranks(
+        self, sites: Sequence[Website], per_site: Sequence[tuple[str, ...]]
+    ) -> np.ndarray:
+        """TrustRank-derived network scores of (possibly unseen) sites.
 
-        Own node score (if the site was in the training graph) plus the
-        mean trust of its outbound endpoints, which generalizes to
-        sites outside the training graph.
-        """
-        return float(self._network_ranks([site])[0])
-
-    def _network_ranks(self, sites: Sequence[Website]) -> np.ndarray:
-        """Batched network ranks: one segmented mean over all endpoints.
-
-        Endpoint trust lookups of every site are concatenated into one
-        flat array and per-site sums come from a single
-        ``np.add.reduceat`` over the segment starts; sites without
-        outbound endpoints keep an outlink term of exactly 0.0.
+        Each site scores its own node's trust (if it was in the
+        training graph) plus the mean trust of its outbound endpoints
+        ``per_site[i]``, which generalizes to sites outside the
+        training graph.  Endpoint trust lookups of every site are
+        concatenated into one flat array and per-site sums come from a
+        single ``np.add.reduceat`` over the segment starts; sites
+        without outbound endpoints keep an outlink term of exactly 0.0.
         """
         assert self._trust_scores is not None
         trust = self._trust_scores.get
         own = np.array([trust(site.domain, 0.0) for site in sites], dtype=np.float64)
-        per_site = [site.outbound_endpoints() for site in sites]
         lengths = np.array([len(endpoints) for endpoints in per_site], dtype=np.int64)
         total = int(lengths.sum())
         if total == 0:

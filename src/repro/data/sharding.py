@@ -447,9 +447,10 @@ class _LazySiteSequence(Sequence[Website]):
     """Read-only global view over all shards' sites, opened lazily.
 
     Index ``i`` maps to shard ``k`` via cumulative shard sizes; only
-    the shards a caller actually touches are parsed, so chunked
-    consumers (e.g. ``verify_sites`` slicing) stream one shard at a
-    time through the corpus LRU.
+    the shards a caller actually touches are parsed, through the
+    corpus LRU.  In-order reads sweep the shards once each:
+    ``verify_sites`` reads the whole view once at entry, so it parses
+    every shard exactly once and then holds all the sites it scores.
     """
 
     def __init__(self, corpus: "ShardedCorpus") -> None:
