@@ -98,6 +98,9 @@ HOT_ENTRY_SUFFIXES: tuple[str, ...] = (
     # pool.map dispatch is invisible to the call graph), and the shard
     # writer is the pmap worker behind sharded corpus generation
     "blockrank._block_spmv",
+    # the one power loop every in-memory and block ranker runs; its
+    # SpMV arrives as a callable, invisible to the call graph
+    "pagerank.power_iterate",
     "sharding._write_shard_worker",
     # the incremental-stream tick path: delta application materializes
     # changed sites every tick, and the residual push is the per-tick

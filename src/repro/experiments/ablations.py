@@ -309,9 +309,15 @@ def trust_algorithm_ablation(config: ExperimentConfig) -> TableResult:
     EigenTrust (Kamvar et al. [18]) is the related-work alternative the
     paper cites; both propagate from the legitimate training seed, and
     per-pharmacy scores use the same outbound-neighbourhood reading.
+    With uniform pre-trust on that seed, EigenTrust's update
+    ``(1 - a)(C^T t + dangling * p) + a * p`` is personalized PageRank
+    with damping ``1 - a``: TrustRank at damping 0.85 and EigenTrust at
+    ``a = 0.15`` run the same iteration, so the two rows tie by
+    construction and say nothing about which scheme propagates better.
     """
     from repro.network.construction import build_pharmacy_graph
     from repro.network.eigentrust import eigentrust
+    from repro.network.features import _outlink_mean
     from repro.network.trustrank import trustrank as run_trustrank
 
     corpus, _ = _dataset_pair(config)
@@ -321,19 +327,13 @@ def trust_algorithm_ablation(config: ExperimentConfig) -> TableResult:
     splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
     folds = list(splitter.split(y))
 
-    def outlink_mean(site, scores) -> float:
-        endpoints = site.outbound_endpoints()
-        if not endpoints:
-            return 0.0
-        return float(np.mean([scores.get(e, 0.0) for e in endpoints]))
-
     def evaluate(score_fn) -> float:
         aucs = []
         for train_idx, test_idx in folds:
             graph = build_pharmacy_graph(sites)
             seed = [domains[i] for i in train_idx if y[i] == 1]
             scores = score_fn(graph, seed)
-            X = np.array([[outlink_mean(s, scores)] for s in sites])
+            X = np.array([[_outlink_mean(s, scores)] for s in sites])
             clf = GaussianNB().fit(X[train_idx], y[train_idx])
             report = classification_report(
                 y[test_idx],

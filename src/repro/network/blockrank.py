@@ -4,52 +4,50 @@
 transition matrix in RAM and runs each power step as one SpMV.  At
 10^6 domains the matrix still fits a workstation, but a single process
 leaves every other core idle and couples peak RSS to corpus size.
-This module splits the work **by CSR row blocks**:
+This module splits the work **by CSR row blocks** and otherwise runs
+the in-memory ranker's kernel:
 
-* :func:`compile_transition_store` builds the exact transition matrix
-  of :func:`~repro.network.pagerank.transition_matrix` once, slices it
-  into row blocks, and spills each block through
-  :class:`repro.perf.MatrixStore` (atomic writes, mmap loads).  Row
-  ``i`` of a CSR row slice has byte-identical data in the same order
-  as row ``i`` of the full matrix, so the per-row dot products — and
-  therefore the concatenated block results — are **bit-equal** to the
-  single-process SpMV, not merely close.
-* :func:`compile_transition_store_from_edges` compiles the same block
-  layout directly from flat ``(src, dst, weight)`` edge arrays without
-  ever materializing the full matrix — the path the million-site scale
-  harness uses, where the graph comes from streamed shards.
-* :func:`block_personalized_pagerank` runs the power iteration with a
-  persistent :class:`repro.perf.WorkerPool`: the current rank vector
-  lives in one shared-memory segment that every worker maps read-only,
-  each worker computes its block's SpMV against its mmap'd block, and
-  the parent concatenates block results in block order (deterministic
-  reduction), applies dangling + teleport mass, and checks
-  convergence.  Pool- or shared-memory-failure degrades to the serial
+* :func:`compile_transition_store_from_edges` compiles flat
+  ``(src, dst, weight)`` edge arrays with
+  :func:`~repro.network.pagerank.compile_transition` and spills each
+  row block through :class:`repro.perf.MatrixStore` (atomic writes,
+  mmap loads) as it is built; :func:`compile_transition_store` does
+  the same for a graph.  Row ``i`` of a block holds the same data in
+  the same order as row ``i`` of the in-memory one-block matrix, so
+  block ranking is **bit-equal** to the in-memory ranking.
+* :func:`block_personalized_pagerank` drives
+  :func:`~repro.network.pagerank.power_iterate` with a block SpMV.
+  With a persistent :class:`repro.perf.WorkerPool`, the rank vector
+  lives in one shared-memory segment that every worker maps
+  read-only, each worker multiplies its mmap'd block, and the parent
+  concatenates block results in block order (deterministic
+  reduction).  Pool- or shared-memory-failure degrades to the serial
   block loop, which computes the identical result.
 
-``block_trustrank`` / ``block_anti_trustrank`` / ``block_pagerank``
-mirror the in-memory API over a compiled plan.
+:func:`block_trustrank` mirrors the in-memory TrustRank; over a plan
+compiled from the reversed graph it is Anti-TrustRank.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import shared_memory
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.devtools.contracts import check_probability_vector
 from repro.exceptions import GraphError, ValidationError
 from repro.network.graph import DirectedGraph
-from repro.network.pagerank import teleport_vector, transition_matrix
+from repro.network.pagerank import (
+    compile_transition,
+    edge_arrays,
+    power_iterate,
+    teleport_vector,
+)
 from repro.perf.parallel import WorkerPool
 from repro.perf.store import MatrixStore
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "BlockPlan",
@@ -57,9 +55,7 @@ __all__ = [
     "compile_transition_store_from_edges",
     "load_block_plan",
     "block_personalized_pagerank",
-    "block_pagerank",
     "block_trustrank",
-    "block_anti_trustrank",
 ]
 
 
@@ -140,23 +136,15 @@ def compile_transition_store(
 ) -> BlockPlan:
     """Compile ``graph`` into spilled row blocks of its transition matrix.
 
-    Builds the exact matrix of
-    :func:`~repro.network.pagerank.transition_matrix` and slices it, so
+    Same edge arrays and compile routine as
+    :func:`~repro.network.pagerank.personalized_pagerank`, so
     block-wise ranking over the result is bit-equal to the in-memory
     power iteration on the same graph.
     """
-    if graph.n_nodes == 0:
-        raise GraphError("cannot compile an empty graph")
-    nodes = list(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    matrix, dangling = transition_matrix(graph, index)
-    offsets = _block_offsets(len(nodes), n_blocks)
-    plan = _save_plan(store, prefix, nodes, offsets, dangling)
-    for b in range(plan.n_blocks):
-        store.save_csr(
-            plan.block_name(b), matrix[offsets[b] : offsets[b + 1], :]
-        )
-    return plan
+    index, src, dst, weight = edge_arrays(graph)
+    return compile_transition_store_from_edges(
+        store, list(index), src, dst, weight, n_blocks, prefix
+    )
 
 
 def compile_transition_store_from_edges(
@@ -172,39 +160,18 @@ def compile_transition_store_from_edges(
 
     ``src``/``dst`` are node indices into ``nodes``; parallel edges
     must already be folded (the sharded graph builder folds them).
-    Each block's rows are assembled independently from the edges whose
-    destination falls inside the block, so peak memory is one block
-    plus the edge arrays — never the full matrix.
+    Each block is spilled as soon as
+    :func:`~repro.network.pagerank.compile_transition` builds it, so
+    peak memory is one block plus the edge arrays — never the full
+    matrix.
     """
     n = len(nodes)
     if n == 0:
         raise GraphError("cannot compile an empty graph")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if not (src.shape == dst.shape == weight.shape):
-        raise ValidationError("edge arrays must have identical shapes")
-    out_weight = np.bincount(src, weights=weight, minlength=n)
-    # A node is dangling iff it has no out-edges at all, so exact zero
-    # is the intended test.
-    dangling = out_weight == 0.0  # repro-lint: disable=R006
     offsets = _block_offsets(n, n_blocks)
+    dangling, blocks = compile_transition(n, src, dst, weight, offsets)
     plan = _save_plan(store, prefix, nodes, offsets, dangling)
-    if src.size:
-        data = weight / out_weight[src]
-        order = np.argsort(dst, kind="stable")
-        src, dst, data = src[order], dst[order], data[order]
-    else:
-        data = weight
-    bounds = np.searchsorted(dst, offsets)
-    for b in range(plan.n_blocks):
-        lo, hi = bounds[b], bounds[b + 1]
-        rows = offsets[b + 1] - offsets[b]
-        block = sp.csr_matrix(
-            (data[lo:hi], (dst[lo:hi] - offsets[b], src[lo:hi])),
-            shape=(rows, n),
-            dtype=np.float64,
-        )
+    for b, block in enumerate(blocks):
         store.save_csr(plan.block_name(b), block)
     return plan
 
@@ -266,10 +233,10 @@ def block_personalized_pagerank(
 ) -> dict[str, float]:
     """Power-iteration PageRank over spilled row blocks, in parallel.
 
-    Semantics match
-    :func:`~repro.network.pagerank.personalized_pagerank` exactly when
-    the plan was compiled from the same graph (bit-equal block SpMV,
-    identical dangling/teleport handling, same convergence test).
+    Bit-equal to
+    :func:`~repro.network.pagerank.personalized_pagerank` when the plan
+    was compiled from the same graph: both run the same compile and
+    the same :func:`~repro.network.pagerank.power_iterate` loop.
 
     Args:
         plan: compiled blocks from :func:`compile_transition_store` or
@@ -287,84 +254,48 @@ def block_personalized_pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValidationError(f"damping must be in (0, 1), got {damping}")
-    n = plan.n
     index = {node: i for i, node in enumerate(plan.nodes)}
-    graph_view = _PlanNodeView(index)
-    t = teleport_vector(graph_view, index, teleport)
+    t = teleport_vector(index, teleport)
     dangling = np.asarray(
         plan.store.load_array(f"{plan.prefix}/dangling", mmap=False),
         dtype=bool,
     )
-    any_dangling = bool(dangling.any())
-
-    rank = t.copy()
     with WorkerPool(jobs) as pool:
         shm: shared_memory.SharedMemory | None = None
         if pool.workers > 1:
             try:
-                shm = shared_memory.SharedMemory(create=True, size=rank.nbytes)
+                shm = shared_memory.SharedMemory(create=True, size=t.nbytes)
             except OSError:
                 # No /dev/shm here; the serial loop computes the same.
                 shm = None
         try:
-            if shm is not None:
-                shared_rank = np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
+            if shm is None:
+                spmv = partial(_serial_block_spmv, plan)
+            else:
+                shared_rank = np.ndarray(
+                    (plan.n,), dtype=np.float64, buffer=shm.buf
+                )
                 worker = partial(
                     _block_spmv,
                     store_root=str(plan.store.root),
                     prefix=plan.prefix,
                     shm_name=shm.name,
-                    n=n,
+                    n=plan.n,
                 )
-            for _ in range(max_iterations):
-                if shm is not None:
+
+                def spmv(rank: np.ndarray) -> np.ndarray:
                     shared_rank[:] = rank
-                    parts = pool.map(
-                        worker, range(plan.n_blocks), chunksize=1
-                    )
-                    new_rank = np.concatenate(parts)
-                else:
-                    new_rank = _serial_block_spmv(plan, rank)
-                if any_dangling:
-                    new_rank = new_rank + rank[dangling].sum() * t
-                new_rank = damping * new_rank + (1.0 - damping) * t
-                if np.abs(new_rank - rank).sum() < tolerance:
-                    rank = new_rank
-                    break
-                rank = new_rank
+                    parts = pool.map(worker, range(plan.n_blocks), chunksize=1)
+                    return np.concatenate(parts)
+
+            rank = power_iterate(
+                spmv, t, dangling, damping, max_iterations, tolerance
+            )
         finally:
             if shm is not None:
                 shm.close()
                 shm.unlink()
-    return {node: float(rank[i]) for node, i in index.items()}
-
-
-class _PlanNodeView:
-    """Minimal graph-shaped membership view for teleport validation."""
-
-    def __init__(self, index: Mapping[str, int]) -> None:
-        self._index = index
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._index
-
-
-def block_pagerank(
-    plan: BlockPlan,
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-10,
-    jobs: int | None = None,
-) -> dict[str, float]:
-    """Plain (uniform-teleport) PageRank over spilled blocks."""
-    return block_personalized_pagerank(
-        plan,
-        teleport=None,
-        damping=damping,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        jobs=jobs,
-    )
+    return dict(zip(plan.nodes, rank.tolist()))
 
 
 def block_trustrank(
@@ -375,38 +306,19 @@ def block_trustrank(
     tolerance: float = 1e-10,
     jobs: int | None = None,
 ) -> dict[str, float]:
-    """TrustRank over spilled blocks (teleport mass on the seed)."""
+    """TrustRank over spilled blocks (teleport mass on the seed).
+
+    Over a plan compiled from the reversed graph (see
+    :func:`repro.network.trustrank.reverse_graph`, or swap the edge
+    arrays' src/dst) with a distrusted seed this is Anti-TrustRank.
+    """
     node_set = set(plan.nodes)
-    seed = [node for node in trusted_seed if node in node_set]
-    if not seed:
+    teleport = {node: 1.0 for node in trusted_seed if node in node_set}
+    if not teleport:
         raise GraphError("trusted seed has no overlap with the graph")
     return block_personalized_pagerank(
         plan,
-        teleport={node: 1.0 for node in seed},
-        damping=damping,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        jobs=jobs,
-    )
-
-
-def block_anti_trustrank(
-    reversed_plan: BlockPlan,
-    distrusted_seed: Iterable[str],
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-10,
-    jobs: int | None = None,
-) -> dict[str, float]:
-    """Anti-TrustRank over blocks compiled from the *reversed* graph.
-
-    Distrust propagates backwards, so compile the plan from
-    :func:`repro.network.trustrank.reverse_graph` (or swap the edge
-    arrays' src/dst) before calling this.
-    """
-    return block_trustrank(
-        reversed_plan,
-        trusted_seed=distrusted_seed,
+        teleport=teleport,
         damping=damping,
         max_iterations=max_iterations,
         tolerance=tolerance,

@@ -2,31 +2,31 @@
 
 Cited by the paper (Section 2.2) as the related trust algorithm for
 peer-to-peer networks.  Implemented here as an alternative to TrustRank
-for the network-analysis ablations: instead of propagating trust from a
-seed by teleporting random walks, EigenTrust computes the principal
+for the network-analysis ablations: EigenTrust computes the principal
 left eigenvector of the normalized *local-trust* matrix, with pre-trust
 mass on a seed of known-good peers providing both the start vector and
 a blending anchor:
 
-    t_{k+1} = (1 - a) * C^T t_k + a * p
+    t_{k+1} = (1 - a) * (C^T t_k + dangling_mass * p) + a * p
 
-where ``C`` is the row-normalized local trust matrix, ``p`` the
-pre-trust distribution, and ``a`` the blending weight.  On a web graph,
-"local trust" is link weight (a page 'vouches' for what it links to),
-which makes the iteration the same family as personalized PageRank but
-with the EigenTrust convention of blending toward the pre-trusted set
-every step.
+where ``C`` is the row-normalized local trust matrix, ``p`` the uniform
+pre-trust distribution, ``a`` the blending weight, and a peer with no
+trust statements defers its mass to ``p``.  On a web graph "local
+trust" is link weight (a page vouches for what it links to), and the
+update is exactly personalized PageRank with damping ``1 - a`` and
+teleport ``p``: TrustRank with damping 0.85 and EigenTrust with
+``a = 0.15`` run the same iteration.  :func:`eigentrust` therefore
+calls :func:`repro.network.pagerank.personalized_pagerank`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.devtools.contracts import check_probability_vector
 from repro.exceptions import GraphError, ValidationError
 from repro.network.graph import DirectedGraph
+from repro.network.pagerank import personalized_pagerank
 
 __all__ = ["eigentrust"]
 
@@ -44,7 +44,8 @@ def eigentrust(
     Args:
         graph: trust statements as weighted directed edges
             (``src`` vouches for ``dst`` with the edge weight).
-        pretrusted: the pre-trusted peer set P (uniform pre-trust mass).
+        pretrusted: the pre-trusted peer set P (uniform pre-trust mass;
+            duplicates count once).
         alpha: blending weight ``a`` toward the pre-trust vector.
         max_iterations: power-iteration cap.
         tolerance: L1 convergence threshold.
@@ -54,52 +55,19 @@ def eigentrust(
 
     Raises:
         GraphError: empty graph or no pre-trusted node in the graph.
+        ValidationError: ``alpha`` outside (0, 1).
     """
     if graph.n_nodes == 0:
         raise GraphError("cannot compute EigenTrust on an empty graph")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-
-    nodes = list(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    seed = [index[n] for n in pretrusted if n in index]
-    if not seed:
+    teleport = {node: 1.0 for node in pretrusted if node in graph}
+    if not teleport:
         raise GraphError("pre-trusted set has no overlap with the graph")
-
-    n = len(nodes)
-    p = np.zeros(n)
-    p[seed] = 1.0 / len(seed)
-
-    out_targets: list[np.ndarray] = []
-    out_weights: list[np.ndarray] = []
-    dangling = np.zeros(n, dtype=bool)
-    for i, node in enumerate(nodes):
-        succ = graph.successors(node)
-        if not succ:
-            dangling[i] = True
-            out_targets.append(np.empty(0, dtype=np.int64))
-            out_weights.append(np.empty(0))
-            continue
-        targets = np.fromiter((index[d] for d in succ), dtype=np.int64)
-        weights = np.fromiter(succ.values(), dtype=np.float64)
-        out_targets.append(targets)
-        out_weights.append(weights / weights.sum())
-
-    t = p.copy()
-    for _ in range(max_iterations):
-        propagated = np.zeros(n)
-        for i in range(n):
-            mass = t[i]
-            if mass == 0.0:  # repro-lint: disable=R006 (exact sparsity skip)
-                continue
-            if dangling[i]:
-                # A peer with no trust statements defers to pre-trust.
-                propagated += mass * p
-            else:
-                propagated[out_targets[i]] += mass * out_weights[i]
-        new_t = (1.0 - alpha) * propagated + alpha * p
-        if np.abs(new_t - t).sum() < tolerance:
-            t = new_t
-            break
-        t = new_t
-    return {node: float(t[index[node]]) for node in nodes}
+    return personalized_pagerank(
+        graph,
+        teleport=teleport,
+        damping=1.0 - alpha,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+    )

@@ -2,25 +2,30 @@
 
 TrustRank (Gyöngyi et al. 2004) is biased PageRank: the teleport
 distribution is concentrated on a trusted seed instead of being
-uniform.  This module implements the shared power-iteration core; both
-uniform PageRank and the biased variants delegate to
-:func:`personalized_pagerank`.
+uniform.  This module holds the one compile routine and the one power
+loop that every ranker in :mod:`repro.network` runs on:
 
-The link structure is compiled once into a ``scipy.sparse`` CSR matrix
-``P`` with ``P[dst, src] = w(src, dst) / out_weight(src)`` plus a
-dangling-node mask, so each power step is a single sparse
-matrix-vector product::
+* :func:`compile_transition` turns flat ``(src, dst, weight)`` edge
+  arrays into a dangling-node mask and CSR row blocks of the
+  column-stochastic matrix ``P[dst, src] = w(src, dst) /
+  out_weight(src)``.  The in-memory rankers compile one block; the
+  block ranker (:mod:`repro.network.blockrank`) spills many.
+* :func:`power_iterate` runs::
 
-    rank' = damping * (P @ rank + dangling_mass * t) + (1 - damping) * t
+      rank' = damping * (P @ rank + dangling_mass * t) + (1 - damping) * t
 
-instead of one Python loop iteration per node
+  for any SpMV callable: one sparse product here, the serial or pooled
+  block loop in :mod:`repro.network.blockrank`.
+
+Uniform PageRank, TrustRank, Anti-TrustRank and EigenTrust all
+delegate to :func:`personalized_pagerank`
 (:func:`repro.perf.reference.reference_personalized_pagerank` keeps
-the loop form as the equivalence baseline).
+the per-node loop form as the equivalence baseline).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,23 +35,24 @@ from repro.exceptions import GraphError, ValidationError
 from repro.network.graph import DirectedGraph
 
 __all__ = [
+    "compile_transition",
+    "edge_arrays",
     "pagerank",
     "personalized_pagerank",
+    "power_iterate",
     "teleport_vector",
-    "transition_matrix",
 ]
 
 
 def teleport_vector(
-    graph: DirectedGraph,
     index: Mapping[str, int],
     teleport: Mapping[str, float] | None,
 ) -> np.ndarray:
-    """Normalized teleport distribution over the graph's node order.
+    """Normalized teleport distribution over the node order ``index``.
 
     Raises:
         ValidationError: on negative teleport entries.
-        GraphError: when no positive mass lands on graph nodes.
+        GraphError: when no positive mass lands on indexed nodes.
     """
     n = len(index)
     if teleport is None:
@@ -65,45 +71,99 @@ def teleport_vector(
     return t / total
 
 
-def transition_matrix(
-    graph: DirectedGraph, index: Mapping[str, int]
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Column-stochastic CSR transition matrix and dangling mask.
+def edge_arrays(
+    graph: DirectedGraph,
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Node index plus flat ``(src, dst, weight)`` arrays of ``graph``.
 
-    ``matrix[dst, src]`` carries the weight-normalized probability of
-    following the ``src -> dst`` link; columns of dangling nodes are
-    empty and flagged in the boolean mask instead.  Public because the
-    block-wise ranker (:mod:`repro.network.blockrank`) compiles its
-    row-partitioned blocks from this exact matrix — slicing rows of one
-    CSR is what makes block SpMV bit-identical to the full product.
+    Nodes are indexed in insertion order; edges come source-major, in
+    each node's successor order.
     """
-    n = len(index)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    dangling = np.zeros(n, dtype=bool)
-    for node, i in index.items():
-        succ = graph.successors(node)
-        if not succ:
-            dangling[i] = True
-            continue
-        targets = np.fromiter((index[d] for d in succ), dtype=np.int64)
-        weights = np.fromiter(succ.values(), dtype=np.float64)
-        src_parts.append(np.full(targets.size, i, dtype=np.int64))
-        dst_parts.append(targets)
-        data_parts.append(weights / weights.sum())
-    if not src_parts:
-        matrix = sp.csr_matrix((n, n), dtype=np.float64)
+    index = {node: i for i, node in enumerate(graph.nodes())}
+    edges = [(index[s], index[d], w) for s, d, w in graph.edges()]
+    src, dst, weight = zip(*edges) if edges else ((), (), ())
+    return (
+        index,
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        np.array(weight, dtype=np.float64),
+    )
+
+
+def compile_transition(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weight: np.ndarray,
+    offsets: Sequence[int],
+) -> tuple[np.ndarray, Iterator[sp.csr_matrix]]:
+    """Dangling mask and lazily built CSR row blocks of ``P``.
+
+    ``src``/``dst`` index ``n`` nodes; parallel edges must already be
+    folded.  Block ``b`` holds rows ``offsets[b]:offsets[b+1]``, cut
+    from the same destination-sorted entries as every other block, so
+    block SpMV results are bit-equal to the one-block ``(0, n)``
+    product.  A caller that spills each block as it is yielded never
+    holds the full matrix.
+
+    Raises:
+        ValidationError: when the edge arrays differ in shape.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight, dtype=np.float64)
+    if not (src.shape == dst.shape == weight.shape):
+        raise ValidationError("edge arrays must have identical shapes")
+    out_weight = np.bincount(src, weights=weight, minlength=n)
+    # A node is dangling iff it has no out-edges at all, so exact zero
+    # is the intended test.
+    dangling = out_weight == 0.0  # repro-lint: disable=R006
+    if src.size:
+        data = weight / out_weight[src]
+        order = np.argsort(dst, kind="stable")
+        src, dst, data = src[order], dst[order], data[order]
     else:
-        matrix = sp.csr_matrix(
-            (
-                np.concatenate(data_parts),
-                (np.concatenate(dst_parts), np.concatenate(src_parts)),
-            ),
-            shape=(n, n),
-            dtype=np.float64,
-        )
-    return matrix, dangling
+        data = weight
+    bounds = np.searchsorted(dst, offsets)
+
+    def blocks() -> Iterator[sp.csr_matrix]:
+        for b in range(len(offsets) - 1):
+            lo, hi = bounds[b], bounds[b + 1]
+            yield sp.csr_matrix(
+                (data[lo:hi], (dst[lo:hi] - offsets[b], src[lo:hi])),
+                shape=(offsets[b + 1] - offsets[b], n),
+                dtype=np.float64,
+            )
+
+    return dangling, blocks()
+
+
+def power_iterate(
+    spmv: Callable[[np.ndarray], np.ndarray],
+    t: np.ndarray,
+    dangling: np.ndarray,
+    damping: float,
+    max_iterations: int,
+    tolerance: float,
+) -> np.ndarray:
+    """Power iteration from ``t`` until the L1 step is below ``tolerance``.
+
+    ``spmv(rank)`` returns ``P @ rank``.  Dangling nodes redistribute
+    their mass according to the teleport vector ``t`` (the standard
+    TrustRank convention, which keeps trust from leaking to untrusted
+    nodes through dead ends).
+    """
+    any_dangling = bool(dangling.any())
+    rank = t.copy()
+    for _ in range(max_iterations):
+        new_rank = spmv(rank)
+        if any_dangling:
+            new_rank = new_rank + rank[dangling].sum() * t
+        new_rank = damping * new_rank + (1.0 - damping) * t
+        if np.abs(new_rank - rank).sum() < tolerance:
+            return new_rank
+        rank = new_rank
+    return rank
 
 
 @check_probability_vector()
@@ -115,10 +175,6 @@ def personalized_pagerank(
     tolerance: float = 1e-10,
 ) -> dict[str, float]:
     """Power-iteration PageRank with an arbitrary teleport distribution.
-
-    Dangling nodes redistribute their mass according to the teleport
-    vector (the standard TrustRank convention, which keeps trust from
-    leaking to untrusted nodes through dead ends).
 
     Args:
         graph: the link graph.
@@ -141,23 +197,15 @@ def personalized_pagerank(
     if not 0.0 < damping < 1.0:
         raise ValidationError(f"damping must be in (0, 1), got {damping}")
 
-    nodes = list(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    t = teleport_vector(graph, index, teleport)
-    matrix, dangling = transition_matrix(graph, index)
-    any_dangling = bool(dangling.any())
-
-    rank = t.copy()
-    for _ in range(max_iterations):
-        new_rank = matrix @ rank
-        if any_dangling:
-            new_rank += rank[dangling].sum() * t
-        new_rank = damping * new_rank + (1.0 - damping) * t
-        if np.abs(new_rank - rank).sum() < tolerance:
-            rank = new_rank
-            break
-        rank = new_rank
-    return {node: float(rank[i]) for node, i in index.items()}
+    index, src, dst, weight = edge_arrays(graph)
+    t = teleport_vector(index, teleport)
+    n = len(index)
+    dangling, blocks = compile_transition(n, src, dst, weight, (0, n))
+    (matrix,) = blocks
+    rank = power_iterate(
+        matrix.dot, t, dangling, damping, max_iterations, tolerance
+    )
+    return dict(zip(index, rank.tolist()))
 
 
 def pagerank(

@@ -60,6 +60,8 @@ class TestTrustAlgorithmAblation:
         values = {row[0]: row[1] for row in table.rows}
         assert set(values) == {"TrustRank (paper)", "EigenTrust [18]"}
         assert all(v > 0.7 for v in values.values())
+        # EigenTrust at a = 0.15 is TrustRank at damping 0.85.
+        assert values["TrustRank (paper)"] == values["EigenTrust [18]"]
 
 
 class TestLabelNoiseAblation:

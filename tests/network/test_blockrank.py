@@ -1,10 +1,10 @@
 """Tests for block-wise multi-process ranking over spilled CSR blocks.
 
-The contract: block ranking over a compiled plan equals the in-memory
-:func:`repro.network.pagerank.personalized_pagerank` to 1e-9 (in fact
-bit-equal — row-sliced CSR keeps per-row data order), serial and
-parallel runs are identical, and the edge-array compile path matches
-the graph compile path.
+The contract: block ranking over a compiled plan is bit-equal to the
+in-memory :func:`repro.network.pagerank.personalized_pagerank` (both
+run one compile routine and one power loop), serial and parallel runs
+are identical, and the edge-array compile path matches the graph
+compile path.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import pytest
 
 from repro.exceptions import GraphError, ValidationError
 from repro.network.blockrank import (
-    block_anti_trustrank,
-    block_pagerank,
     block_personalized_pagerank,
     block_trustrank,
     compile_transition_store,
@@ -52,6 +50,23 @@ def store(tmp_path):
     return MatrixStore(tmp_path / "store")
 
 
+def _edge_arrays(graph: DirectedGraph):
+    """``(nodes, src, dst, weight)`` in node order, source-major."""
+    nodes = list(graph.nodes())
+    index = {n: i for i, n in enumerate(nodes)}
+    src, dst, weight = [], [], []
+    for s, d, w in graph.edges():
+        src.append(index[s])
+        dst.append(index[d])
+        weight.append(w)
+    return (
+        nodes,
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(weight, dtype=np.float64),
+    )
+
+
 def _max_divergence(a: dict, b: dict) -> float:
     assert set(a) == set(b)
     return max(abs(a[k] - b[k]) for k in a)
@@ -83,7 +98,9 @@ class TestCompile:
         reloaded = load_block_plan(store)
         assert reloaded.nodes == plan.nodes
         assert reloaded.offsets == plan.offsets
-        assert block_pagerank(reloaded) == block_pagerank(plan)
+        assert block_personalized_pagerank(
+            reloaded
+        ) == block_personalized_pagerank(plan)
 
 
 class TestEquivalence:
@@ -91,7 +108,7 @@ class TestEquivalence:
         plan = compile_transition_store(graph, store, n_blocks=4)
         assert (
             _max_divergence(
-                block_pagerank(plan), personalized_pagerank(graph)
+                block_personalized_pagerank(plan), personalized_pagerank(graph)
             )
             <= 1e-9
         )
@@ -124,7 +141,7 @@ class TestEquivalence:
         )
         assert (
             _max_divergence(
-                block_anti_trustrank(plan, seed), anti_trustrank(graph, seed)
+                block_trustrank(plan, seed), anti_trustrank(graph, seed)
             )
             <= 1e-9
         )
@@ -141,32 +158,38 @@ class TestEquivalence:
     def test_block_count_does_not_change_result(self, graph, store):
         one = compile_transition_store(graph, store, n_blocks=1, prefix="p1")
         many = compile_transition_store(graph, store, n_blocks=7, prefix="p7")
-        assert block_pagerank(one) == block_pagerank(many)
+        assert block_personalized_pagerank(
+            one
+        ) == block_personalized_pagerank(many)
 
 
 class TestEdgeCompile:
     def test_edges_match_graph_compile(self, graph, store):
-        nodes = list(graph.nodes())
-        index = {n: i for i, n in enumerate(nodes)}
-        src, dst, weight = [], [], []
-        for node in nodes:
-            for succ, w in graph.successors(node).items():
-                src.append(index[node])
-                dst.append(index[succ])
-                weight.append(w)
         from_graph = compile_transition_store(
             graph, store, n_blocks=4, prefix="g"
         )
         from_edges = compile_transition_store_from_edges(
-            store,
-            nodes,
-            np.asarray(src),
-            np.asarray(dst),
-            np.asarray(weight, dtype=np.float64),
-            n_blocks=4,
-            prefix="e",
+            store, *_edge_arrays(graph), n_blocks=4, prefix="e"
         )
-        assert block_pagerank(from_graph) == block_pagerank(from_edges)
+        assert block_personalized_pagerank(
+            from_graph
+        ) == block_personalized_pagerank(from_edges)
+
+    def test_float_weight_edges_equal_inmemory_trustrank(self, store):
+        """One compile routine: float out-weights summed over 8+ links
+        come out bit-equal in the block and in-memory paths."""
+        rng = np.random.default_rng(23)
+        graph = DirectedGraph()
+        names = [f"f{i}.example" for i in range(40)]
+        for i, name in enumerate(names):
+            fanout = 12 if i % 4 == 0 else 3
+            for j in rng.choice(len(names), size=fanout, replace=False):
+                graph.add_edge(name, names[j], float(rng.random()) + 0.05)
+        seed = names[:5]
+        plan = compile_transition_store_from_edges(
+            store, *_edge_arrays(graph), n_blocks=4
+        )
+        assert block_trustrank(plan, seed) == trustrank(graph, seed)
 
     def test_edgeless_nodes_are_all_dangling(self, store):
         plan = compile_transition_store_from_edges(
@@ -177,7 +200,7 @@ class TestEdgeCompile:
             np.asarray([], dtype=np.float64),
             n_blocks=2,
         )
-        ranks = block_pagerank(plan)
+        ranks = block_personalized_pagerank(plan)
         assert ranks["a.example"] == pytest.approx(0.5)
 
     def test_mismatched_edge_arrays_rejected(self, store):
@@ -216,4 +239,5 @@ class TestValidation:
 
     def test_scores_sum_to_one(self, graph, store):
         plan = compile_transition_store(graph, store, n_blocks=3)
-        assert sum(block_pagerank(plan).values()) == pytest.approx(1.0)
+        ranks = block_personalized_pagerank(plan)
+        assert sum(ranks.values()) == pytest.approx(1.0)
